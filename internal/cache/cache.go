@@ -79,21 +79,24 @@ func (s Stats) MPKI(k Kind, instructions uint64) float64 {
 	return float64(s.Misses[k]) / float64(instructions) * 1000
 }
 
-type line struct {
-	tag      uint64
-	stamp    uint32
-	valid    bool
-	prefetch bool // installed by a prefetcher, not yet demand-hit
-}
-
 // Cache is a single set-associative cache with true-LRU replacement.
 // It is not safe for concurrent use; the simulator serializes access.
+//
+// Lines are stored structure-of-arrays, sets × ways row-major: a
+// lookup scans only the set's row of tags, and a line costs 12 bytes
+// (tag, stamp) plus one prefetch bit.
 type Cache struct {
 	cfg      Config
 	sets     int
 	ways     int
 	blockLg2 uint
-	lines    []line // sets × ways, row-major
+	// setMask selects the set with a mask when sets is a power of two
+	// (pow2Sets); otherwise the block index is reduced modulo sets.
+	setMask  uint64
+	pow2Sets bool
+	tags     []uint64 // tag+1 per line; 0 marks an invalid line
+	stamps   []uint32 // LRU stamp per line
+	pf       []uint64 // bit per line: installed by a prefetcher, not yet demand-hit
 	clock    uint32
 
 	// Way partitioning. wayLo/wayHi give the half-open way range each
@@ -119,12 +122,17 @@ func New(cfg Config) *Cache {
 	for 1<<(lg2+1) <= cfg.BlockBytes {
 		lg2++
 	}
+	n := sets * cfg.Ways
 	c := &Cache{
 		cfg:      cfg,
 		sets:     sets,
 		ways:     cfg.Ways,
 		blockLg2: lg2,
-		lines:    make([]line, sets*cfg.Ways),
+		setMask:  uint64(sets - 1),
+		pow2Sets: sets&(sets-1) == 0,
+		tags:     make([]uint64, n),
+		stamps:   make([]uint32, n),
+		pf:       make([]uint64, (n+63)/64),
 	}
 	c.ClearPartition()
 	return c
@@ -139,12 +147,31 @@ func (c *Cache) Sets() int { return c.sets }
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
 
+// checkPartition validates a CDP split of a cache with the given name
+// and associativity; SetPartition and CheckCDP share it so both report
+// the same error.
+func checkPartition(name string, ways, dataWays, codeWays int) error {
+	if dataWays < 1 || codeWays < 1 || dataWays+codeWays > ways {
+		return fmt.Errorf("cache %s: invalid partition data=%d code=%d of %d ways",
+			name, dataWays, codeWays, ways)
+	}
+	return nil
+}
+
+// checkWayLimit validates a CAT way limit, shared by SetWayLimit and
+// CheckCAT.
+func checkWayLimit(name string, ways, n int) error {
+	if n < 1 || n > ways {
+		return fmt.Errorf("cache %s: way limit %d outside [1,%d]", name, n, ways)
+	}
+	return nil
+}
+
 // SetPartition dedicates dataWays ways to data and codeWays ways to
 // code (Intel CDP). The sum must not exceed the associativity.
 func (c *Cache) SetPartition(dataWays, codeWays int) error {
-	if dataWays < 1 || codeWays < 1 || dataWays+codeWays > c.ways {
-		return fmt.Errorf("cache %s: invalid partition data=%d code=%d of %d ways",
-			c.cfg.Name, dataWays, codeWays, c.ways)
+	if err := checkPartition(c.cfg.Name, c.ways, dataWays, codeWays); err != nil {
+		return err
 	}
 	c.wayLo[Data], c.wayHi[Data] = 0, dataWays
 	c.wayLo[Code], c.wayHi[Code] = dataWays, dataWays+codeWays
@@ -154,8 +181,8 @@ func (c *Cache) SetPartition(dataWays, codeWays int) error {
 // SetWayLimit restricts both kinds to the first n ways (Intel CAT),
 // used for the Fig 10 LLC-capacity sweep.
 func (c *Cache) SetWayLimit(n int) error {
-	if n < 1 || n > c.ways {
-		return fmt.Errorf("cache %s: way limit %d outside [1,%d]", c.cfg.Name, n, c.ways)
+	if err := checkWayLimit(c.cfg.Name, c.ways, n); err != nil {
+		return err
 	}
 	for k := Kind(0); k < numKinds; k++ {
 		c.wayLo[k], c.wayHi[k] = 0, n
@@ -170,64 +197,70 @@ func (c *Cache) ClearPartition() {
 	}
 }
 
-func (c *Cache) set(addr uint64) int {
-	return int((addr >> c.blockLg2) % uint64(c.sets))
+// locate returns the index of addr's set row in the line arrays and
+// the tag+1 key a resident copy of addr carries.
+func (c *Cache) locate(addr uint64) (base int, key uint64) {
+	blk := addr >> c.blockLg2
+	var set uint64
+	if c.pow2Sets {
+		set = blk & c.setMask
+	} else {
+		set = blk % uint64(c.sets)
+	}
+	return int(set) * c.ways, blk + 1
 }
 
-func (c *Cache) tag(addr uint64) uint64 { return addr >> c.blockLg2 }
+// find returns the line index holding key in the row at base, or -1.
+func (c *Cache) find(base int, key uint64) int {
+	for i, t := range c.tags[base : base+c.ways] {
+		if t == key {
+			return base + i
+		}
+	}
+	return -1
+}
+
+func (c *Cache) prefetched(i int) bool { return c.pf[i>>6]&(1<<(uint(i)&63)) != 0 }
 
 // Access performs a demand access, returning true on hit. On miss the
 // line is installed in the LRU way of the kind's allowed range.
 func (c *Cache) Access(addr uint64, kind Kind) bool {
 	c.stats.Accesses[kind]++
 	c.clock++
-	set := c.set(addr)
-	tag := c.tag(addr)
-	base := set * c.ways
-	row := c.lines[base : base+c.ways]
-	for i := range row {
-		if row[i].valid && row[i].tag == tag {
-			if !c.cfg.BIP {
-				row[i].stamp = c.clock
-			}
-			if row[i].prefetch {
-				// First demand touch promotes a speculative line.
-				row[i].prefetch = false
-				row[i].stamp = c.clock
-				c.stats.PrefetchHits++
-			}
-			return true
+	base, key := c.locate(addr)
+	if i := c.find(base, key); i >= 0 {
+		if !c.cfg.BIP {
+			c.stamps[i] = c.clock
 		}
+		if c.prefetched(i) {
+			// First demand touch promotes a speculative line.
+			c.pf[i>>6] &^= 1 << (uint(i) & 63)
+			c.stamps[i] = c.clock
+			c.stats.PrefetchHits++
+		}
+		return true
 	}
 	c.stats.Misses[kind]++
-	c.install(row, tag, kind, false, false)
+	c.install(base, key, kind, false, false)
 	return false
 }
 
 // Probe reports whether addr is resident without updating LRU state or
 // statistics.
 func (c *Cache) Probe(addr uint64) bool {
-	set := c.set(addr)
-	tag := c.tag(addr)
-	base := set * c.ways
-	for i := 0; i < c.ways; i++ {
-		if c.lines[base+i].valid && c.lines[base+i].tag == tag {
-			return true
-		}
-	}
-	return false
+	base, key := c.locate(addr)
+	return c.find(base, key) >= 0
 }
 
 // Prefetch installs addr without counting a demand access. It returns
 // false if the line was already resident (a useless prefetch).
 func (c *Cache) Prefetch(addr uint64, kind Kind) bool {
-	if c.Probe(addr) {
+	base, key := c.locate(addr)
+	if c.find(base, key) >= 0 {
 		return false
 	}
 	c.clock++
-	set := c.set(addr)
-	base := set * c.ways
-	c.install(c.lines[base:base+c.ways], c.tag(addr), kind, true, false)
+	c.install(base, key, kind, true, false)
 	c.stats.PrefetchFills++
 	return true
 }
@@ -236,25 +269,29 @@ func (c *Cache) Prefetch(addr uint64, kind Kind) bool {
 // bypassing statistics. The simulator's functional warm-up uses it to
 // seed steady-state resident sets.
 func (c *Cache) InstallWarm(addr uint64, kind Kind) {
-	if c.Probe(addr) {
+	base, key := c.locate(addr)
+	if c.find(base, key) >= 0 {
 		return
 	}
 	c.clock++
-	set := c.set(addr)
-	base := set * c.ways
-	c.install(c.lines[base:base+c.ways], c.tag(addr), kind, false, true)
+	c.install(base, key, kind, false, true)
 }
 
-func (c *Cache) install(row []line, tag uint64, kind Kind, viaPrefetch, forceMRU bool) {
-	lo, hi := c.wayLo[kind], c.wayHi[kind]
-	victim := lo
-	for i := lo; i < hi; i++ {
-		if !row[i].valid {
-			victim = i
+// install places key in the set row at base: into the first invalid
+// way of the kind's allowed range, else its least recently stamped
+// way (the first one on a tie).
+func (c *Cache) install(base int, key uint64, kind Kind, viaPrefetch, forceMRU bool) {
+	lo, hi := base+c.wayLo[kind], base+c.wayHi[kind]
+	tags := c.tags[lo:hi]
+	stamps := c.stamps[lo:hi]
+	v := 0
+	for i, t := range tags {
+		if t == 0 {
+			v = i
 			break
 		}
-		if row[i].stamp < row[victim].stamp {
-			victim = i
+		if stamps[i] < stamps[v] {
+			v = i
 		}
 	}
 	stamp := c.clock
@@ -263,7 +300,14 @@ func (c *Cache) install(row []line, tag uint64, kind Kind, viaPrefetch, forceMRU
 		// next victim unless a demand hit promotes it first.
 		stamp = 1
 	}
-	row[victim] = line{tag: tag, stamp: stamp, valid: true, prefetch: viaPrefetch}
+	tags[v] = key
+	stamps[v] = stamp
+	i := lo + v
+	if viaPrefetch {
+		c.pf[i>>6] |= 1 << (uint(i) & 63)
+	} else {
+		c.pf[i>>6] &^= 1 << (uint(i) & 63)
+	}
 }
 
 // ScrambleAges assigns every valid line a uniformly random age and
@@ -273,13 +317,13 @@ func (c *Cache) install(row []line, tag uint64, kind Kind, viaPrefetch, forceMRU
 // oldest tail being replaced at the insertion rate) instead of a
 // freshly-installed population that never ages out.
 func (c *Cache) ScrambleAges(rnd func(n int) int) {
-	span := uint32(len(c.lines)) * 4
+	span := uint32(len(c.tags)) * 4
 	if span < 1024 {
 		span = 1024
 	}
-	for i := range c.lines {
-		if c.lines[i].valid {
-			c.lines[i].stamp = uint32(rnd(int(span))) + 1
+	for i, t := range c.tags {
+		if t != 0 {
+			c.stamps[i] = uint32(rnd(int(span))) + 1
 		}
 	}
 	c.clock += span + 1
@@ -288,9 +332,9 @@ func (c *Cache) ScrambleAges(rnd func(n int) int) {
 // Flush invalidates all lines (e.g. across a reboot) without touching
 // statistics.
 func (c *Cache) Flush() {
-	for i := range c.lines {
-		c.lines[i] = line{}
-	}
+	clear(c.tags)
+	clear(c.stamps)
+	clear(c.pf)
 }
 
 // Stats returns a copy of the counters.

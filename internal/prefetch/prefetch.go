@@ -31,7 +31,6 @@ const (
 )
 
 type streamEntry struct {
-	page     uint64
 	lastLine uint64 // line index within page
 	dir      int    // +1 ascending, -1 descending, 0 unknown
 	score    int    // confirmations; >= 1 triggers prefetch
@@ -54,8 +53,12 @@ type Engine struct {
 	core  int
 	clock uint64
 
-	streams [streamTableSize]streamEntry
-	ips     [ipTableSize]ipEntry
+	// streamPages holds each stream entry's page+1 (0 = empty) apart
+	// from the rest of the entry, so the per-access match is a scan
+	// over one small array.
+	streamPages [streamTableSize]uint64
+	streams     [streamTableSize]streamEntry
+	ips         [ipTableSize]ipEntry
 
 	stats Stats
 }
@@ -111,20 +114,24 @@ func (e *Engine) OnAccess(addr uint64, kind cache.Kind, ip uint64, level cache.L
 func (e *Engine) stream(addr uint64, kind cache.Kind) {
 	page := addr / pageBytes
 	line := (addr % pageBytes) / lineBytes
-	// Find or allocate the page's stream entry (LRU).
+	// Find the page's stream entry, or replace the least recently used
+	// one (the first with the minimum stamp).
 	idx := -1
-	victim := 0
-	for i := range e.streams {
-		if e.streams[i].page == page+1 { // +1 bias: zero means empty
+	for i, p := range e.streamPages {
+		if p == page+1 {
 			idx = i
 			break
 		}
-		if e.streams[i].stamp < e.streams[victim].stamp {
-			victim = i
-		}
 	}
 	if idx < 0 {
-		e.streams[victim] = streamEntry{page: page + 1, lastLine: line, stamp: e.clock}
+		victim := 0
+		for i := range e.streams {
+			if e.streams[i].stamp < e.streams[victim].stamp {
+				victim = i
+			}
+		}
+		e.streamPages[victim] = page + 1
+		e.streams[victim] = streamEntry{lastLine: line, stamp: e.clock}
 		return
 	}
 	s := &e.streams[idx]

@@ -46,26 +46,36 @@ const (
 )
 
 // Machine simulates one server of a SKU running one microservice under
-// a given soft-SKU configuration.
+// a given soft-SKU configuration. It holds only the validated inputs
+// and the address space; the page layout, cache hierarchy, TLBs,
+// prefetch engines and streams a window drives are built by measure,
+// on a characterization-cache miss, and released once it returns.
 type Machine struct {
 	srv    *platform.Server
 	prof   *workload.Profile
 	seed   uint64
-	layout workload.Layout
 	space  *tlb.AddressSpace
+	memMod *mem.Model
+
+	nthreads int
+	catWays  int          // CAT way limit applied via SetCAT; 0 = unlimited
+	rates    *WindowRates // cached characterization, nil until measured
+}
+
+// window is the model state of one characterization window. measure
+// builds it fresh, so every window starts from the same cold state no
+// matter what the machine measured before.
+type window struct {
+	m      *Machine
+	layout workload.Layout
 	hier   *cache.Hierarchy
 	tlbs   []*tlb.TLB
 	pfs    []*prefetch.Engine
 	thr    []*workload.Stream
-	memMod *mem.Model
-
-	nthreads int
-	catWays  int // CAT way limit applied via SetCAT; 0 = unlimited
 	// pages is the flattened page resolver for runWindow's hot loop.
 	pages tlb.Resolver
 	// tally[level][0] counts data loads satisfied at level, [1] stores.
 	tally [4][2]uint64
-	rates *WindowRates // cached characterization, nil until measured
 }
 
 // WindowRates are per-instruction event rates measured over one
@@ -88,6 +98,8 @@ type WindowRates struct {
 
 // NewMachine builds the simulator for a server/profile pair. The
 // profile should already be platform-adjusted (workload.ForPlatform).
+// It validates the profile, lays out the address space and checks the
+// CDP partition against the SKU's LLC, but allocates no window state.
 func NewMachine(srv *platform.Server, prof *workload.Profile, seed uint64) (*Machine, error) {
 	if err := prof.Validate(); err != nil {
 		return nil, err
@@ -96,42 +108,16 @@ func NewMachine(srv *platform.Server, prof *workload.Profile, seed uint64) (*Mac
 	sku := srv.SKU()
 
 	m := &Machine{srv: srv, prof: prof, seed: seed, memMod: mem.NewModel(sku)}
-	m.layout = prof.BuildLayout()
-	space, err := tlb.NewAddressSpace(m.layout.Regions, cfg.THP, cfg.SHPCount)
+	space, err := tlb.NewAddressSpace(prof.BuildRegions().Regions, cfg.THP, cfg.SHPCount)
 	if err != nil {
 		return nil, err
 	}
 	m.space = space
-	m.pages = space.Resolver()
-
-	m.nthreads = simThreads
-	if cfg.Cores < m.nthreads {
-		m.nthreads = cfg.Cores
-	}
-	// The simulated threads share the full LLC: service data is shared
-	// across cores (one heap), so per-core LLC slicing would be wrong.
-	// The footprint component that *does* grow with active cores —
-	// per-request private state — is instead scaled into each sim
-	// thread's private span (workload.NewStream's coreScale).
-	totalLLC := sku.LLC * sku.Sockets
-	m.hier = cache.NewHierarchySized(sku, m.nthreads, totalLLC)
+	m.nthreads = WindowThreads(cfg.Cores)
 	if cfg.CDP.Enabled() {
-		if err := m.hier.ApplyCDP(cfg.CDP.DataWays, cfg.CDP.CodeWays); err != nil {
+		if err := cache.CheckCDP(sku, cfg.CDP.DataWays, cfg.CDP.CodeWays); err != nil {
 			return nil, err
 		}
-	}
-
-	geom := tlb.Geometry{
-		ITLB4K: sku.ITLB4K, ITLB2M: sku.ITLB2M,
-		DTLB4K: sku.DTLB4K, DTLB2M: sku.DTLB2M,
-		STLB: sku.STLB,
-	}
-	coreScale := float64(cfg.Cores) / float64(m.nthreads)
-	for i := 0; i < m.nthreads; i++ {
-		m.tlbs = append(m.tlbs, tlb.New(geom))
-		m.pfs = append(m.pfs, prefetch.NewEngine(m.hier, i, cfg.Prefetch))
-		m.thr = append(m.thr, workload.NewStream(prof, m.layout,
-			seed+uint64(i)*7919, i, coreScale))
 	}
 	return m, nil
 }
@@ -143,14 +129,56 @@ func (m *Machine) Server() *platform.Server { return m.srv }
 func (m *Machine) Profile() *workload.Profile { return m.prof }
 
 // SetCAT limits the LLC to n ways (the Fig 10 capacity sweep) and
-// invalidates the cached characterization.
+// invalidates the cached characterization. The next window runs on
+// fresh state with the limit applied.
 func (m *Machine) SetCAT(n int) error {
-	if err := m.hier.ApplyCAT(n); err != nil {
+	if err := cache.CheckCAT(m.srv.SKU(), n); err != nil {
 		return err
 	}
 	m.catWays = n
 	m.rates = nil
 	return nil
+}
+
+// newWindow builds the cold model state for one window: the shared
+// hierarchy with the machine's CDP split and CAT limit applied, and
+// per simulated thread a TLB, a prefetch engine and an address stream.
+func (m *Machine) newWindow() *window {
+	cfg := m.srv.Config()
+	sku := m.srv.SKU()
+	w := &window{m: m, layout: m.prof.BuildLayout(), pages: m.space.Resolver()}
+	// The simulated threads share the full LLC: service data is shared
+	// across cores (one heap), so per-core LLC slicing would be wrong.
+	// The footprint component that *does* grow with active cores —
+	// per-request private state — is instead scaled into each sim
+	// thread's private span (workload.NewStream's coreScale).
+	totalLLC := sku.LLC * sku.Sockets
+	w.hier = cache.NewHierarchySized(sku, m.nthreads, totalLLC)
+	// NewMachine and SetCAT validated both settings against this SKU.
+	if cfg.CDP.Enabled() {
+		if err := w.hier.ApplyCDP(cfg.CDP.DataWays, cfg.CDP.CodeWays); err != nil {
+			panic(err)
+		}
+	}
+	if m.catWays > 0 {
+		if err := w.hier.ApplyCAT(m.catWays); err != nil {
+			panic(err)
+		}
+	}
+
+	geom := tlb.Geometry{
+		ITLB4K: sku.ITLB4K, ITLB2M: sku.ITLB2M,
+		DTLB4K: sku.DTLB4K, DTLB2M: sku.DTLB2M,
+		STLB: sku.STLB,
+	}
+	coreScale := float64(cfg.Cores) / float64(m.nthreads)
+	for i := 0; i < m.nthreads; i++ {
+		w.tlbs = append(w.tlbs, tlb.New(geom))
+		w.pfs = append(w.pfs, prefetch.NewEngine(w.hier, i, cfg.Prefetch))
+		w.thr = append(w.thr, workload.NewStream(m.prof, w.layout,
+			m.seed+uint64(i)*7919, i, coreScale))
+	}
+	return w
 }
 
 // prefill functionally warms the hierarchy with the steady-state
@@ -160,21 +188,22 @@ func (m *Machine) SetCAT(n int) error {
 // discard, §4); installing the tiers directly — coldest first, so LRU
 // ends up ordered by heat — lets short windows observe steady-state
 // hit rates. The subsequent instruction warm-up settles TLBs and LRU.
-func (m *Machine) prefill() {
+func (w *window) prefill() {
+	m := w.m
 	prof := m.prof
 	installData := func(c *cache.Cache, lo, hi uint64) {
-		workload.ForEachDataLine(prof, m.layout, lo, hi, func(addr uint64) {
+		workload.ForEachDataLine(prof, w.layout, lo, hi, func(addr uint64) {
 			c.InstallWarm(addr, cache.Data)
 		})
 	}
 	installCode := func(c *cache.Cache, pool int, bytes uint64) {
-		workload.ForEachCodeLine(prof, m.layout, pool, bytes/64, func(addr uint64) {
+		workload.ForEachCodeLine(prof, w.layout, pool, bytes/64, func(addr uint64) {
 			c.InstallWarm(addr, cache.Code)
 		})
 	}
 	cfg := m.srv.Config()
 	coreScale := float64(cfg.Cores) / float64(m.nthreads)
-	llc := m.hier.LLCs
+	llc := w.hier.LLCs
 	llcBytes := uint64(m.srv.SKU().LLC * m.srv.SKU().Sockets)
 	capSpan := func(b uint64) uint64 {
 		if b > llcBytes {
@@ -203,10 +232,10 @@ func (m *Machine) prefill() {
 	for ti := 0; ti < m.nthreads; ti++ {
 		pool := ti % prof.CodePools
 		installCode(llc, pool, prof.CodeMid.Bytes)
-		installCode(m.hier.L2s[ti], pool, prof.CodeMid.Bytes)
-		installCode(m.hier.L1I[ti], pool, prof.CodeHot.Bytes)
-		installData(m.hier.L2s[ti], 0, prof.DataMid.Bytes)
-		installData(m.hier.L1D[ti], 0, prof.DataHot.Bytes)
+		installCode(w.hier.L2s[ti], pool, prof.CodeMid.Bytes)
+		installCode(w.hier.L1I[ti], pool, prof.CodeHot.Bytes)
+		installData(w.hier.L2s[ti], 0, prof.DataMid.Bytes)
+		installData(w.hier.L1D[ti], 0, prof.DataHot.Bytes)
 	}
 }
 
@@ -229,26 +258,28 @@ func (m *Machine) Characterize() *WindowRates {
 	return m.rates
 }
 
-// measure runs one characterization measurement window: functional
-// prefill, instruction warm-up, stat reset, then a measured window per
-// thread, interleaved in chunks so threads genuinely contend for the
-// shared LLC.
+// measure runs one characterization measurement window on fresh model
+// state: functional prefill, instruction warm-up, stat reset, then a
+// measured window per thread, interleaved in chunks so threads
+// genuinely contend for the shared LLC. The state is dropped on
+// return; only the rates outlive the window.
 func (m *Machine) measure() *WindowRates {
 	mSimWindows.Inc()
-	m.prefill()
+	w := m.newWindow()
+	w.prefill()
 	ager := rng.New(m.seed ^ 0xa6e5)
-	m.hier.LLCs.ScrambleAges(ager.Intn)
-	m.runWindow(warmupInstr)
-	m.resetStats()
-	switches := m.runWindow(measureInstr)
+	w.hier.LLCs.ScrambleAges(ager.Intn)
+	w.runWindow(warmupInstr)
+	w.resetStats()
+	switches := w.runWindow(measureInstr)
 
 	instr := uint64(measureInstr) * uint64(m.nthreads)
 	r := &WindowRates{
 		Instructions: instr,
 		CtxSwitches:  switches,
-		Cache:        m.hier.Stats(),
+		Cache:        w.hier.Stats(),
 	}
-	for _, t := range m.tlbs {
+	for _, t := range w.tlbs {
 		s := t.Stats()
 		r.TLB.Fetches += s.Fetches
 		r.TLB.FetchMisses += s.FetchMisses
@@ -258,7 +289,7 @@ func (m *Machine) measure() *WindowRates {
 		r.TLB.StoreMisses += s.StoreMisses
 		r.TLB.WalkCycles += s.WalkCycles
 	}
-	for _, p := range m.pfs {
+	for _, p := range w.pfs {
 		s := p.Stats()
 		r.PF.Issued += s.Issued
 		r.PF.Moved += s.Moved
@@ -276,12 +307,12 @@ func (m *Machine) measure() *WindowRates {
 	c.CodeL2 = cs.L2.Accesses[cache.Code] - cs.L2.Misses[cache.Code]
 	c.CodeLLC = cs.LLC.Accesses[cache.Code] - cs.LLC.Misses[cache.Code]
 	c.CodeMem = cs.LLC.Misses[cache.Code]
-	c.DataL2 = m.tally[cache.L2][0]
-	c.DataLLC = m.tally[cache.LLC][0]
-	c.DataMem = m.tally[cache.Memory][0]
-	c.StoreL2 = m.tally[cache.L2][1]
-	c.StoreLLC = m.tally[cache.LLC][1]
-	c.StoreMem = m.tally[cache.Memory][1]
+	c.DataL2 = w.tally[cache.L2][0]
+	c.DataLLC = w.tally[cache.LLC][0]
+	c.DataMem = w.tally[cache.Memory][0]
+	c.StoreL2 = w.tally[cache.L2][1]
+	c.StoreLLC = w.tally[cache.LLC][1]
+	c.StoreMem = w.tally[cache.Memory][1]
 
 	// Split walk cycles by origin using miss counts.
 	iw := r.TLB.FetchMisses
@@ -305,7 +336,8 @@ func (m *Machine) measure() *WindowRates {
 // runWindow advances every thread by instrPerThread instructions in
 // interleaved chunks, returning the number of context switches
 // injected.
-func (m *Machine) runWindow(instrPerThread int) uint64 {
+func (w *window) runWindow(instrPerThread int) uint64 {
+	m := w.m
 	cfg := m.srv.Config()
 	// Context-switch interval in instructions, from the profile's
 	// per-core switch rate at this core frequency (IPC≈1 estimate; the
@@ -316,17 +348,17 @@ func (m *Machine) runWindow(instrPerThread int) uint64 {
 	var switches uint64
 	const chunk = 2000
 	buf := make([]workload.Access, 0, chunk*2)
-	hier, pages, tally := m.hier, &m.pages, &m.tally
+	hier, pages, tally := w.hier, &w.pages, &w.tally
 	for done := 0; done < instrPerThread; done += chunk {
 		n := chunk
 		if instrPerThread-done < n {
 			n = instrPerThread - done
 		}
 		switchNow := done/interval != (done+n)/interval
-		for ti := range m.thr {
-			buf = m.thr[ti].Generate(buf[:0], n)
-			t := m.tlbs[ti]
-			pf := m.pfs[ti]
+		for ti := range w.thr {
+			buf = w.thr[ti].Generate(buf[:0], n)
+			t := w.tlbs[ti]
+			pf := w.pfs[ti]
 			for i := range buf {
 				a := &buf[i]
 				lvl := hier.Access(ti, a.Addr, a.Kind)
@@ -342,7 +374,7 @@ func (m *Machine) runWindow(instrPerThread int) uint64 {
 				pf.OnAccess(a.Addr, a.Kind, a.IP, lvl)
 			}
 			if switchNow {
-				m.thr[ti].SwitchPool()
+				w.thr[ti].SwitchPool()
 				switches++
 			}
 		}
@@ -350,12 +382,12 @@ func (m *Machine) runWindow(instrPerThread int) uint64 {
 	return switches
 }
 
-func (m *Machine) resetStats() {
-	m.tally = [4][2]uint64{}
-	m.hier.ResetStats()
-	for i := range m.tlbs {
-		m.tlbs[i].ResetStats()
-		m.pfs[i].ResetStats()
+func (w *window) resetStats() {
+	w.tally = [4][2]uint64{}
+	w.hier.ResetStats()
+	for i := range w.tlbs {
+		w.tlbs[i].ResetStats()
+		w.pfs[i].ResetStats()
 	}
 }
 

@@ -392,7 +392,10 @@ func TestServiceSimOverload(t *testing.T) {
 	}
 }
 
-// TestMachineRejectsInvalidConfig guards constructor validation.
+// TestMachineRejectsInvalidConfig guards constructor validation, which
+// must not wait for the first window: a bad profile, overlapping
+// regions and an invalid CDP split all fail NewMachine, the last with
+// the error the cache model itself reports.
 func TestMachineRejectsInvalidConfig(t *testing.T) {
 	sku := platform.Skylake18()
 	srv, err := platform.NewServer(sku, sku.StockConfig())
@@ -403,6 +406,31 @@ func TestMachineRejectsInvalidConfig(t *testing.T) {
 	bad.CodePools = 0
 	if _, err := NewMachine(srv, bad, 1); err == nil {
 		t.Fatal("invalid profile must be rejected")
+	}
+	// Regions are laid out 1 TiB apart, so a larger heap overlaps the
+	// stack.
+	huge := workload.Web()
+	huge.DataFootprint = 3 << 40
+	if _, err := NewMachine(srv, huge, 1); err == nil || err.Error() != `tlb: regions "heap" and "stack" overlap` {
+		t.Errorf("overlapping regions: err = %v", err)
+	}
+
+	// The server validated a full-width CDP split; shrinking the SKU's
+	// LLC afterwards makes the same split invalid for the hierarchy.
+	small := *sku
+	cfg := sku.StockConfig()
+	cfg.CDP = knob.CDPConfig{DataWays: 6, CodeWays: 5}
+	srvCDP, err := platform.NewServer(&small, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small.LLCWays = 10
+	want := cache.NewHierarchy(&small, 1).ApplyCDP(6, 5)
+	if want == nil {
+		t.Fatal("fixture: 6+5 ways must not fit a 10-way LLC")
+	}
+	if _, err := NewMachine(srvCDP, workload.Web(), 1); err == nil || err.Error() != want.Error() {
+		t.Errorf("invalid CDP split: err = %v, want %v", err, want)
 	}
 }
 

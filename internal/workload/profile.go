@@ -255,10 +255,26 @@ type Layout struct {
 	SlabPerm []uint32
 }
 
-// BuildLayout constructs the service's address-space regions. Region
-// bases are spaced far apart so regions never overlap regardless of
-// size.
+// BuildLayout constructs the service's address-space regions and the
+// page permutations its streams scatter JIT code and SHP slab pages
+// with.
 func (p *Profile) BuildLayout() Layout {
+	l := p.BuildRegions()
+	if p.JITCode {
+		l.CodePerm = pagePerm(p.CodeFootprint, 0x5eed1)
+	}
+	if p.SHPHeap > 0 {
+		l.SlabPerm = pagePerm(p.SHPHeap, 0x5eed2)
+	}
+	return l
+}
+
+// BuildRegions constructs the service's address-space regions only,
+// leaving CodePerm and SlabPerm nil: what laying out and validating an
+// address space needs, without the permutations' 4 bytes per page.
+// Region bases are spaced far apart so regions never overlap
+// regardless of size.
+func (p *Profile) BuildRegions() Layout {
 	var l Layout
 	l.SHPHeap = -1
 	base := uint64(1) << 32
@@ -289,12 +305,6 @@ func (p *Profile) BuildLayout() Layout {
 	}
 	l.Heap = add(tlb.Region{Name: "heap", Size: heapSize, Anon: true, Madvise: p.HeapMadvise})
 	l.Stack = add(tlb.Region{Name: "stack", Size: 8 << 20, Anon: true})
-	if p.JITCode {
-		l.CodePerm = pagePerm(p.CodeFootprint, 0x5eed1)
-	}
-	if p.SHPHeap > 0 {
-		l.SlabPerm = pagePerm(p.SHPHeap, 0x5eed2)
-	}
 	return l
 }
 
