@@ -35,8 +35,8 @@ func main() {
 		parallel  = flag.Int("parallel", 0, "trial worker count inside re-tunes; output is seed-deterministic at any value (0: GOMAXPROCS)")
 		driftRate = flag.Float64("drift-rate", 0.04, "per-pool per-epoch probability of a real workload shift")
 		tuneMax   = flag.Int("tune-samples", 120, "per-arm sample cap for drift-chasing A/B trials")
-		tuneSrch  = flag.String("tune-search", "independent", "re-tune optimizer: independent | hill | halving | cem")
-		tuneTwin  = flag.Bool("tune-twin", false, "arm the analytical-twin fidelity ladder inside re-tunes (prunes predicted-losing arms before any window runs)")
+		tuneSrch  = flag.String("tune-search", "independent", "re-tune optimizer: independent | exhaustive | hill | halving | cem")
+		tuneTwin  = flag.Bool("tune-twin", false, "arm the analytical-twin fidelity ladder inside re-tunes (hill, halving and cem prune predicted-losing arms before any window runs; independent and exhaustive measure every realizable point)")
 		decOut    = flag.String("ledger-out", "", "write the soak's decision ledger as JSONL (replay with skutrace)")
 		jsonOut   = flag.Bool("json", false, "emit the soak report as JSON instead of text")
 		quiet     = flag.Bool("q", false, "suppress per-epoch progress logging")
@@ -53,13 +53,11 @@ func main() {
 	cfg.DriftRate = *driftRate
 	cfg.TuneMinSamples = 40
 	cfg.TuneMaxSamples = *tuneMax
-	if *tuneSrch != "independent" {
-		mode, err := core.ParseSweepMode(*tuneSrch, true)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.TuneSweep = mode
+	mode, err := core.ParseSweepMode(*tuneSrch)
+	if err != nil {
+		fatal(err)
 	}
+	cfg.TuneSweep = mode
 	if cc.GuardrailPct > 0 {
 		cfg.TuneGuardrailPct = cc.GuardrailPct
 	}

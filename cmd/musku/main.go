@@ -8,8 +8,8 @@
 //
 //	musku -input tune.conf
 //	musku -service Web -platform Skylake18 [-sweep independent] [-metric mips]
-//	musku -service Web -search halving    # adaptive optimizer: hill | halving | cem
-//	musku -service Web -search halving -twin  # twin-pruned search (fewer windows, same SKU)
+//	musku -service Web -sweep halving     # adaptive optimizer: hill | halving | cem
+//	musku -service Web -sweep halving -twin  # twin-pruned search (fewer windows, same SKU)
 //	musku -service Web -validate 3
 //	musku -service Web -chaos -chaos-seed 7 -guardrail-pct 2
 //
@@ -17,7 +17,7 @@
 //
 //	microservice = Web
 //	platform     = Skylake18        # defaults to the service's fleet placement
-//	sweep        = independent      # independent | exhaustive | hillclimb | halving | cem
+//	sweep        = independent      # independent | exhaustive | hill | halving | cem
 //	metric       = mips             # mips | qps
 //	knobs        = cdp, thp, shp    # defaults to every applicable knob
 //	seed         = 1
@@ -48,14 +48,13 @@ func main() {
 		inputPath  = flag.String("input", "", "µSKU input file (overrides the other flags)")
 		service    = flag.String("service", "", "target microservice (Web, Feed1, ..., Cache2)")
 		platName   = flag.String("platform", "", "hardware platform (default: the service's fleet placement)")
-		sweep      = flag.String("sweep", "independent", "sweep mode: independent | exhaustive | hillclimb | halving | cem")
-		search     = flag.String("search", "", "adaptive optimizer: hill | halving | cem (overrides -sweep)")
+		sweep      = flag.String("sweep", "independent", "sweep mode: independent | exhaustive | hill | halving | cem")
 		metric     = flag.String("metric", "mips", "performance metric: mips | qps")
 		knobList   = flag.String("knobs", "", "comma-separated knob subset (default: all applicable)")
 		seed       = flag.Uint64("seed", 1, "workload seed")
 		maxSamples = flag.Int("max-samples", 0, "per-arm sample cap for A/B trials (0: default 30000)")
 		parallel   = flag.Int("parallel", 0, "trial worker count; results are seed-deterministic at any value (0: GOMAXPROCS)")
-		twin       = flag.Bool("twin", false, "arm the analytical-twin fidelity ladder: prune predicted-losing arms before any window runs")
+		twin       = flag.Bool("twin", false, "arm the analytical-twin fidelity ladder: hill, halving and cem prune predicted-losing arms before any window runs; independent and exhaustive measure every realizable point")
 		validate   = flag.Int("validate", 0, "after tuning, validate across N simulated code pushes")
 		decOut     = flag.String("decisions-out", "", "write the decision ledger as JSONL (replay with skutrace)")
 		simCache   = flag.String("sim-cache", "on", "characterization cache: on | off (off re-measures every window; results are identical)")
@@ -76,7 +75,7 @@ func main() {
 		fatal(fmt.Errorf("-sim-cache must be on or off, got %q", *simCache))
 	}
 
-	in, err := buildInput(*inputPath, *service, *platName, *sweep, *search, *metric, *knobList, *seed, *maxSamples, *parallel, *twin)
+	in, err := buildInput(*inputPath, *service, *platName, *sweep, *metric, *knobList, *seed, *maxSamples, *parallel, *twin)
 	if err != nil {
 		fatal(err)
 	}
@@ -180,7 +179,7 @@ func serveWait(obs *telemetry.CLI) {
 	obs.Wait()
 }
 
-func buildInput(path, service, plat, sweep, search, metric, knobList string, seed uint64, maxSamples, parallel int, twin bool) (softsku.TuneInput, error) {
+func buildInput(path, service, plat, sweep, metric, knobList string, seed uint64, maxSamples, parallel int, twin bool) (softsku.TuneInput, error) {
 	if path != "" {
 		text, err := os.ReadFile(path)
 		if err != nil {
@@ -194,11 +193,6 @@ func buildInput(path, service, plat, sweep, search, metric, knobList string, see
 	// Reuse the file parser so flag and file semantics stay identical.
 	text := fmt.Sprintf("microservice = %s\nsweep = %s\nmetric = %s\nseed = %d\n",
 		service, sweep, metric, seed)
-	if search != "" {
-		// Later lines win, so -search overrides -sweep through the same
-		// parser path ("search" accepts only the adaptive optimizers).
-		text += "search = " + search + "\n"
-	}
 	if plat != "" {
 		text += "platform = " + plat + "\n"
 	}

@@ -35,13 +35,15 @@ type Evaluator interface {
 	MedianAbsErrPct() float64
 }
 
-// SetEvaluator attaches a tiered-fidelity evaluator to the tool: search
-// rounds score every candidate arm against the round's control and
-// discard — without measuring — arms whose predicted regression clears
-// the rung's safety margin, recording each discard as a twin_pruned
-// ledger event. nil (the default, unless the input file says `twin =
-// on`) measures every validated arm, bit-identical to the pre-ladder
-// pipeline.
+// SetEvaluator attaches a tiered-fidelity evaluator to the tool. Hill,
+// halving and CEM rounds score every candidate arm against the round's
+// control and discard — without measuring — arms whose predicted
+// regression clears the rung's safety margin, recording each discard
+// as a twin_pruned ledger event. The independent and exhaustive sweeps
+// measure every realizable point: the evaluator only calibrates and
+// cross-checks them. nil (the default, unless the input file says
+// `twin = on`) measures every validated arm, bit-identical to the
+// pre-ladder pipeline.
 func (t *Tool) SetEvaluator(e Evaluator) { t.eval = e }
 
 // Evaluator returns the attached evaluator (nil if none).

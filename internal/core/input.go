@@ -60,11 +60,15 @@ func (m SweepMode) String() string {
 }
 
 // ParseSweepMode parses a sweep-mode name as written in input files
-// and flags. searchOnly restricts the accepted set to the adaptive
-// searchers (the `-search` flag's vocabulary, which also admits the
-// short form "hill").
-func ParseSweepMode(val string, searchOnly bool) (SweepMode, error) {
+// and flags: one vocabulary for the map sweeps (independent,
+// exhaustive) and the adaptive searchers (hill, halving, cem, with
+// their long forms).
+func ParseSweepMode(val string) (SweepMode, error) {
 	switch strings.ToLower(val) {
+	case "independent":
+		return SweepIndependent, nil
+	case "exhaustive":
+		return SweepExhaustive, nil
 	case "hill", "hillclimb", "hill-climb", "hill_climb":
 		return SweepHillClimb, nil
 	case "halving", "successive-halving":
@@ -72,16 +76,7 @@ func ParseSweepMode(val string, searchOnly bool) (SweepMode, error) {
 	case "cem", "population":
 		return SweepCEM, nil
 	}
-	if !searchOnly {
-		switch strings.ToLower(val) {
-		case "independent":
-			return SweepIndependent, nil
-		case "exhaustive":
-			return SweepExhaustive, nil
-		}
-		return SweepIndependent, fmt.Errorf("unknown sweep %q", val)
-	}
-	return SweepIndependent, fmt.Errorf("unknown search %q (want hill, halving, or cem)", val)
+	return SweepIndependent, fmt.Errorf("unknown sweep %q", val)
 }
 
 // Metric selects the performance estimate µSKU optimizes (§4: MIPS by
@@ -123,10 +118,11 @@ type Input struct {
 	// Parallel is the trial worker count; <= 0 means GOMAXPROCS.
 	// Results are bit-identical at any worker count for a given seed.
 	Parallel int
-	// Twin arms the tiered-fidelity ladder: search rounds consult the
-	// calibrated analytical twin and prune candidates whose predicted
-	// regression clears the safety margin, instead of measuring every
-	// validated arm (DESIGN.md §16).
+	// Twin arms the tiered-fidelity ladder (DESIGN.md §16). Hill,
+	// halving and CEM rounds consult the calibrated analytical twin and
+	// prune candidates whose predicted regression clears the safety
+	// margin. The independent and exhaustive sweeps still measure every
+	// realizable point; there the twin only calibrates and cross-checks.
 	Twin bool
 	// AB overrides the default A/B tester configuration.
 	AB abtest.Config
@@ -146,8 +142,8 @@ func DefaultInput(service, platform string) Input {
 
 // ParseInput reads the µSKU input-file format: one "key = value" pair
 // per line, '#' comments. Recognized keys: microservice, platform,
-// sweep (or search), metric, knobs (comma-separated), seed,
-// max_samples, parallel, twin (on/off).
+// sweep, metric, knobs (comma-separated), seed, max_samples, parallel,
+// twin (on/off).
 func ParseInput(text string) (Input, error) {
 	in := Input{Sweep: SweepIndependent, Metric: MetricMIPS, Seed: 1, AB: abtest.DefaultConfig()}
 	sc := bufio.NewScanner(strings.NewReader(text))
@@ -173,12 +169,8 @@ func ParseInput(text string) (Input, error) {
 			in.Microservice = val
 		case "platform":
 			in.Platform = val
-		case "sweep", "search":
-			// "search" is the flag-facing alias (musku -search): it names
-			// only the adaptive optimizers, with "hill" accepted for
-			// hillclimb; "sweep" keeps the paper's vocabulary and accepts
-			// every mode.
-			mode, err := ParseSweepMode(val, key == "search")
+		case "sweep":
+			mode, err := ParseSweepMode(val)
 			if err != nil {
 				return in, fmt.Errorf("core: input line %d: %v", lineNo, err)
 			}

@@ -80,52 +80,46 @@ func TestParseInputSweepModes(t *testing.T) {
 
 func TestParseSweepMode(t *testing.T) {
 	cases := []struct {
-		val        string
-		searchOnly bool
-		want       SweepMode
-		err        bool
+		val  string
+		want SweepMode
+		err  bool
 	}{
-		{"hill", true, SweepHillClimb, false},
-		{"hill-climb", true, SweepHillClimb, false},
-		{"hill_climb", false, SweepHillClimb, false},
-		{"HALVING", true, SweepHalving, false},
-		{"successive-halving", false, SweepHalving, false},
-		{"cem", true, SweepCEM, false},
-		{"population", true, SweepCEM, false},
-		{"independent", false, SweepIndependent, false},
-		{"exhaustive", false, SweepExhaustive, false},
-		// The search vocabulary admits only the adaptive optimizers.
-		{"independent", true, 0, true},
-		{"exhaustive", true, 0, true},
-		{"bogus", true, 0, true},
-		{"bogus", false, 0, true},
+		{"hill", SweepHillClimb, false},
+		{"hill-climb", SweepHillClimb, false},
+		{"hill_climb", SweepHillClimb, false},
+		{"HALVING", SweepHalving, false},
+		{"successive-halving", SweepHalving, false},
+		{"cem", SweepCEM, false},
+		{"population", SweepCEM, false},
+		{"independent", SweepIndependent, false},
+		{"exhaustive", SweepExhaustive, false},
+		{"bogus", 0, true},
 	}
 	for _, c := range cases {
-		got, err := ParseSweepMode(c.val, c.searchOnly)
+		got, err := ParseSweepMode(c.val)
 		if c.err {
 			if err == nil {
-				t.Errorf("ParseSweepMode(%q, %v): expected error", c.val, c.searchOnly)
+				t.Errorf("ParseSweepMode(%q): expected error", c.val)
 			}
 			continue
 		}
 		if err != nil || got != c.want {
-			t.Errorf("ParseSweepMode(%q, %v) = %v, %v; want %v", c.val, c.searchOnly, got, err, c.want)
+			t.Errorf("ParseSweepMode(%q) = %v, %v; want %v", c.val, got, err, c.want)
 		}
 	}
 }
 
-// TestParseInputSearchKey: the "search" key is the flag-facing alias —
-// it accepts the adaptive optimizers (with the "hill" short form) and
-// rejects the non-adaptive sweep modes.
+// TestParseInputSearchKey: the adaptive searchers share the sweep key
+// (with the "hill" short form); there is no separate search key.
 func TestParseInputSearchKey(t *testing.T) {
-	in, err := ParseInput("microservice = Web\nsearch = hill")
+	in, err := ParseInput("microservice = Web\nsweep = hill")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if in.Sweep != SweepHillClimb {
-		t.Fatalf("search = hill -> %v", in.Sweep)
+		t.Fatalf("sweep = hill -> %v", in.Sweep)
 	}
-	if _, err := ParseInput("microservice = Web\nsearch = independent"); err == nil {
-		t.Fatal("search key must reject non-adaptive modes")
+	if _, err := ParseInput("microservice = Web\nsearch = hill"); err == nil {
+		t.Fatal("search is not an input key; sweep names every mode")
 	}
 }

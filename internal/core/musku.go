@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
-	"sort"
+	"strings"
 
 	"softsku/internal/abtest"
 	"softsku/internal/chaos"
@@ -333,22 +333,29 @@ func (t *Tool) Run() (*Result, error) {
 		}
 		t.logf("twin: calibrated for %s on %s (metric %s)", t.prof.Name, t.sku.Name, t.in.Metric)
 	}
-	var composed knob.Config
-	var err error
+	// The map sweeps measure every realizable point, so they run
+	// without the ladder: it only calibrates and cross-checks them.
+	var s Searcher
+	eval := t.eval
 	switch t.in.Sweep {
 	case SweepIndependent:
-		composed, err = t.independentSweep(res)
+		s, eval = &independentSearcher{t: t, res: res, composed: t.baseline}, nil
 	case SweepExhaustive:
-		composed, err = t.exhaustiveSweep(res)
+		es, err := newExhaustiveSearcher(t)
+		if err != nil {
+			return nil, err
+		}
+		s, eval = es, nil
 	case SweepHillClimb:
-		composed, err = t.runSearch(res, newHillSearcher(t))
+		s = newHillSearcher(t)
 	case SweepHalving:
-		composed, err = t.runSearch(res, newHalvingSearcher(t))
+		s = newHalvingSearcher(t)
 	case SweepCEM:
-		composed, err = t.runSearch(res, newCEMSearcher(t))
+		s = newCEMSearcher(t)
 	default:
 		return nil, fmt.Errorf("core: unknown sweep mode %v", t.in.Sweep)
 	}
+	composed, err := t.runSearch(res, s, eval)
 	if err != nil {
 		return nil, err
 	}
@@ -393,16 +400,13 @@ func (t *Tool) Run() (*Result, error) {
 		finSeq = t.rec.Record(t.decRoot, decision.SweepStarted("final", "", t.baseline.String()))
 	}
 	results := t.runTrials(specs)
-	if res.VsProduction, err = t.mergeTrial(specs[0], results[0]); err != nil {
-		vspan.End()
-		return nil, err
+	for i, out := range []*abtest.Outcome{&res.VsProduction, &res.VsStock} {
+		if *out, err = t.mergeTrial(specs[i], results[i]); err != nil {
+			vspan.End()
+			return nil, err
+		}
+		t.recordTrial(finSeq, specs[i], results[i], "", "")
 	}
-	t.recordTrial(finSeq, specs[0], results[0], "", "")
-	if res.VsStock, err = t.mergeTrial(specs[1], results[1]); err != nil {
-		vspan.End()
-		return nil, err
-	}
-	t.recordTrial(finSeq, specs[1], results[1], "", "")
 	vspan.Set("vs_production_pct", res.VsProduction.DeltaPct)
 	vspan.Set("vs_stock_pct", res.VsStock.DeltaPct)
 	vspan.End()
@@ -434,214 +438,186 @@ func (t *Tool) Run() (*Result, error) {
 	return res, nil
 }
 
-// independentSweep scales each knob one-by-one (§4): for every
+// independentSearcher scales each knob one-by-one (§4): for every
 // candidate setting it A/B-tests baseline-with-that-setting against
 // the baseline, then the soft-SKU generator composes the most
-// performant significant winner of each knob.
-//
-// Execution follows the three-phase parallel runtime (trial.go): the
-// whole run's candidate trials are specified serially in design-space
-// order, sharded across the worker pool, and merged back in that same
-// order — so winner selection, logging, and clock accounting are
-// bit-identical to a serial sweep.
-func (t *Tool) independentSweep(res *Result) (knob.Config, error) {
-	composed := t.baseline
-	parent := t.span
-	type entry struct {
-		setting knob.Setting
-		trial   int // index into specs; -1 for the baseline point
-	}
-	type plan struct {
-		id      knob.ID
-		ks      *telemetry.Span
-		entries []entry
-	}
-	var specs []trialSpec
-	var plans []plan
-	for _, id := range t.space.Knobs() {
-		mKnobsSwept.Inc()
-		ks := parent.StartChild("sweep."+id.String(), "sweep")
-		ks.Set("knob", id.String())
-		ks.Set("baseline", t.baseline.Get(id).Name)
-		ks.Set("settings", len(t.space.Values[id]))
-		p := plan{id: id, ks: ks}
-		for si, setting := range t.space.Values[id] {
-			if setting == t.baseline.Get(id) {
-				p.entries = append(p.entries, entry{setting: setting, trial: -1})
-				continue
-			}
-			cfg := t.baseline.With(id, setting)
-			if err := t.sku.Validate(cfg); err != nil {
-				mConfigsPruned.Inc()
-				continue // unrealizable point; µSKU skips it
-			}
-			mConfigsValidated.Inc()
-			if id.RequiresReboot() {
-				t.reboots++
-			}
-			specs = append(specs,
-				t.newSpec(ks, fmt.Sprintf("sweep/%s/%d", id, si), t.baseline, cfg))
-			p.entries = append(p.entries, entry{setting: setting, trial: len(specs) - 1})
-		}
-		plans = append(plans, p)
-	}
-	results := t.runTrials(specs)
-	for pi, p := range plans {
-		sweep := KnobSweep{Knob: p.id, Baseline: t.baseline.Get(p.id)}
-		t.logf("sweeping %s (%d settings)", p.id, len(t.space.Values[p.id]))
-		sweepSeq := -1
-		if t.rec != nil {
-			sweepSeq = t.rec.Record(t.decRoot,
-				decision.SweepStarted("sweep/"+p.id.String(), p.id.String(), t.baseline.Get(p.id).Name))
-		}
-		var ptSeq []int // ledger seq per point (-1: baseline, unrecorded)
-		bestIdx, bestDelta := -1, 0.0
-		for _, en := range p.entries {
-			if en.trial < 0 {
-				sweep.Points = append(sweep.Points, Point{Setting: en.setting, IsBaseline: true})
-				ptSeq = append(ptSeq, -1)
-				continue
-			}
-			out, err := t.mergeTrial(specs[en.trial], results[en.trial])
-			if err != nil {
-				if t.skipFault(err, en.setting.Name) {
-					t.recordSkip(sweepSeq, specs[en.trial], en.setting.Name, err)
-					continue // degrade: drop the setting, not the sweep
-				}
-				for _, rest := range plans[pi:] {
-					rest.ks.End()
-				}
-				return composed, err
-			}
-			sweep.Points = append(sweep.Points, Point{Setting: en.setting, Outcome: out})
-			ptSeq = append(ptSeq, t.recordTrial(sweepSeq, specs[en.trial], results[en.trial], p.id.String(), en.setting.Name))
-			t.logf("  %-12s %s", en.setting.Name, out)
-			if out.Better() && out.DeltaPct > bestDelta {
-				bestDelta = out.DeltaPct
-				bestIdx = len(sweep.Points) - 1
-			}
-		}
-		if t.rec != nil {
-			for i := range sweep.Points {
-				if sweep.Points[i].IsBaseline || ptSeq[i] < 0 {
-					continue
-				}
-				if i == bestIdx {
-					t.rec.Record(ptSeq[i], decision.ArmAccepted(p.id.String(), sweep.Points[i].Setting.Name, bestDelta))
-				} else {
-					o := sweep.Points[i].Outcome
-					t.rec.Record(ptSeq[i], decision.ArmRejected(p.id.String(), sweep.Points[i].Setting.Name,
-						o.DeltaPct, o.PValue, o.Significant))
-				}
-			}
-			if bestIdx < 0 {
-				t.rec.Record(sweepSeq, decision.BaselineKept(p.id.String(), sweep.Baseline.Name))
-			}
-		}
-		if bestIdx >= 0 {
-			sweep.Points[bestIdx].Chosen = true
-			composed = composed.With(p.id, sweep.Points[bestIdx].Setting)
-			t.logf("  -> chose %s (%+.2f%%)", sweep.Points[bestIdx].Setting.Name, bestDelta)
-			p.ks.Set("chosen", sweep.Points[bestIdx].Setting.Name)
-			p.ks.Set("delta_pct", bestDelta)
-		} else {
-			t.logf("  -> keeping production %s", sweep.Baseline.Name)
-			p.ks.Set("chosen", sweep.Baseline.Name+" (kept)")
-		}
-		p.ks.End()
-		res.Map = append(res.Map, sweep)
-	}
-	return composed, nil
+// performant significant winner of each knob. Its one batch holds a
+// round per knob, all trialed together; observing the rounds builds
+// the design-space map (Result.Map).
+type independentSearcher struct {
+	t        *Tool
+	res      *Result
+	composed knob.Config
 }
 
-// exhaustiveSweep explores the cross-product (§4). It refuses design
-// spaces too large to finish between code pushes, as the paper notes
-// exhaustive search is impractical for the full seven-knob space.
-// Candidate points are enumerated serially, trialed in parallel, and
-// scored in enumeration order.
-func (t *Tool) exhaustiveSweep(res *Result) (knob.Config, error) {
+func (s *independentSearcher) Name() string { return "independent sweep" }
+
+// Done: the one batch is the whole sweep.
+func (s *independentSearcher) Done() bool { return true }
+
+// Best returns the composed per-knob winners. The sweep measures no
+// composed configuration itself, so it reports no gain estimate.
+func (s *independentSearcher) Best() (knob.Config, float64) { return s.composed, 0 }
+
+// Propose emits every knob's round at once: each arm moves one knob
+// off the baseline, so no round depends on another's outcome. The
+// baseline's own setting is not an arm; Observe maps it as the
+// baseline point.
+func (s *independentSearcher) Propose(round int) []*SearchRound {
+	if round > 0 {
+		return nil
+	}
+	t := s.t
+	var batch []*SearchRound
+	for _, id := range t.space.Knobs() {
+		mKnobsSwept.Inc()
+		rd := &SearchRound{
+			Span:    "sweep." + id.String(),
+			Label:   "sweep/" + id.String(),
+			Control: t.baseline,
+			Knob:    &id,
+		}
+		for si, setting := range t.space.Values[id] {
+			if setting == t.baseline.Get(id) {
+				continue
+			}
+			rd.Arms = append(rd.Arms, SearchArm{
+				Label:   fmt.Sprintf("sweep/%s/%d", id, si),
+				Config:  t.baseline.With(id, setting),
+				Knob:    id.String(),
+				Setting: setting.Name,
+			})
+		}
+		batch = append(batch, rd)
+	}
+	return batch
+}
+
+// Observe maps one knob's sweep and picks its most performant
+// significant winner, if any, into the composed configuration.
+func (s *independentSearcher) Observe(round int, outs []ArmOutcome) RoundVerdict {
+	id := s.t.space.Knobs()[round]
+	values := s.t.space.Values[id]
+	sweep := KnobSweep{Knob: id, Baseline: s.t.baseline.Get(id)}
+	v := RoundVerdict{
+		Accepted: make([]bool, len(outs)),
+		Attrs: []SpanAttr{
+			{Key: "knob", Value: id.String()},
+			{Key: "baseline", Value: sweep.Baseline.Name},
+			{Key: "settings", Value: len(values)},
+		},
+		Logs: []string{fmt.Sprintf("sweeping %s (%d settings)", id, len(values))},
+	}
+	best, bestArm, bestDelta, arm := -1, -1, 0.0, -1
+	for _, setting := range values {
+		if setting == sweep.Baseline {
+			sweep.Points = append(sweep.Points, Point{Setting: setting, IsBaseline: true})
+			continue
+		}
+		arm++
+		o := outs[arm]
+		if !o.Measured() {
+			continue // unrealizable or faulted: µSKU skips the point
+		}
+		sweep.Points = append(sweep.Points, Point{Setting: setting, Outcome: o.Outcome})
+		v.Logs = append(v.Logs, fmt.Sprintf("  %-12s %s", setting.Name, o.Outcome))
+		if o.Outcome.Better() && o.Outcome.DeltaPct > bestDelta {
+			best, bestArm, bestDelta = len(sweep.Points)-1, arm, o.Outcome.DeltaPct
+		}
+	}
+	if best >= 0 {
+		p := &sweep.Points[best]
+		p.Chosen = true
+		v.Accepted[bestArm] = true
+		s.composed = s.composed.With(id, p.Setting)
+		v.Attrs = append(v.Attrs,
+			SpanAttr{Key: "chosen", Value: p.Setting.Name},
+			SpanAttr{Key: "delta_pct", Value: bestDelta})
+		v.Logs = append(v.Logs, fmt.Sprintf("  -> chose %s (%+.2f%%)", p.Setting.Name, bestDelta))
+	} else {
+		v.Attrs = append(v.Attrs, SpanAttr{Key: "chosen", Value: sweep.Baseline.Name + " (kept)"})
+		v.Events = []decision.Event{decision.BaselineKept(id.String(), sweep.Baseline.Name)}
+		v.Logs = append(v.Logs, fmt.Sprintf("  -> keeping production %s", sweep.Baseline.Name))
+	}
+	s.res.Map = append(s.res.Map, sweep)
+	return v
+}
+
+// exhaustiveSearcher explores the cross-product (§4) in one round
+// and keeps the best significant winner.
+type exhaustiveSearcher struct {
+	t       *Tool
+	arms    []SearchArm // the proposed round's arms
+	best    knob.Config
+	bestPct float64
+}
+
+// newExhaustiveSearcher refuses design spaces too large to finish
+// between code pushes, as the paper notes exhaustive search is
+// impractical for the full seven-knob space.
+func newExhaustiveSearcher(t *Tool) (*exhaustiveSearcher, error) {
 	const maxPoints = 512
 	if n := t.space.Size(); n > maxPoints {
-		return t.baseline, fmt.Errorf(
+		return nil, fmt.Errorf(
 			"core: exhaustive sweep over %d points cannot finish between code pushes; restrict 'knobs' (limit %d)",
 			n, maxPoints)
 	}
-	var specs []trialSpec
+	return &exhaustiveSearcher{t: t, best: t.baseline}, nil
+}
+
+func (e *exhaustiveSearcher) Name() string { return "exhaustive sweep" }
+
+// Done: the one round is the whole sweep.
+func (e *exhaustiveSearcher) Done() bool { return true }
+
+func (e *exhaustiveSearcher) Best() (knob.Config, float64) { return e.best, e.bestPct }
+
+// Propose enumerates the cross-product once, in Space.Enumerate order;
+// an arm's label carries its enumeration index.
+func (e *exhaustiveSearcher) Propose(round int) []*SearchRound {
+	if round > 0 {
+		return nil
+	}
+	t := e.t
+	rd := &SearchRound{Span: "sweep.exhaustive", Label: "exhaustive", Control: t.baseline}
 	enum := 0
 	t.space.Enumerate(t.baseline, func(cfg knob.Config) bool {
 		enum++
-		if cfg == t.baseline {
-			return true
+		if cfg != t.baseline {
+			rd.Arms = append(rd.Arms, SearchArm{
+				Label:   fmt.Sprintf("exhaustive/%d", enum-1),
+				Config:  cfg,
+				Setting: cfg.String(),
+			})
 		}
-		if err := t.sku.Validate(cfg); err != nil {
-			mConfigsPruned.Inc()
-			return true
-		}
-		mConfigsValidated.Inc()
-		for _, id := range knob.Diff(t.baseline, cfg) {
-			if id.RequiresReboot() {
-				t.reboots++
-				break
-			}
-		}
-		specs = append(specs,
-			t.newSpec(t.span, fmt.Sprintf("exhaustive/%d", enum-1), t.baseline, cfg))
 		return true
 	})
-	type scored struct {
-		cfg   knob.Config
-		delta float64
-	}
-	best := scored{cfg: t.baseline}
-	sweepSeq := -1
-	if t.rec != nil {
-		sweepSeq = t.rec.Record(t.decRoot, decision.SweepStarted("exhaustive", "", t.baseline.String()))
-	}
-	bestSpec := -1
-	seqs := make([]int, len(specs))
-	outs := make([]abtest.Outcome, len(specs))
-	recorded := make([]bool, len(specs))
-	results := t.runTrials(specs)
-	for i, spec := range specs {
-		out, err := t.mergeTrial(spec, results[i])
-		if err != nil {
-			if t.skipFault(err, spec.treatment.String()) {
-				t.recordSkip(sweepSeq, spec, spec.treatment.String(), err)
-				continue
-			}
-			return t.baseline, err
-		}
-		seqs[i] = t.recordTrial(sweepSeq, spec, results[i], "", spec.treatment.String())
-		outs[i], recorded[i] = out, true
-		if out.Better() && out.DeltaPct > best.delta {
-			best = scored{cfg: spec.treatment, delta: out.DeltaPct}
-			bestSpec = i
+	e.arms = rd.Arms
+	return []*SearchRound{rd}
+}
+
+// Observe keeps the best significant winner; ties keep the earlier
+// point in enumeration order.
+func (e *exhaustiveSearcher) Observe(round int, outs []ArmOutcome) RoundVerdict {
+	v := RoundVerdict{Accepted: make([]bool, len(outs))}
+	best := -1
+	for i, o := range outs {
+		if o.Measured() && o.Outcome.Better() && o.Outcome.DeltaPct > e.bestPct {
+			best, e.best, e.bestPct = i, e.arms[i].Config, o.Outcome.DeltaPct
 		}
 	}
-	if t.rec != nil {
-		for i := range specs {
-			if !recorded[i] {
-				continue
-			}
-			if i == bestSpec {
-				t.rec.Record(seqs[i], decision.ArmAccepted("", specs[i].treatment.String(), best.delta))
-			} else {
-				t.rec.Record(seqs[i], decision.ArmRejected("", specs[i].treatment.String(),
-					outs[i].DeltaPct, outs[i].PValue, outs[i].Significant))
-			}
-		}
-		if bestSpec < 0 {
-			t.rec.Record(sweepSeq, decision.BaselineKept("", t.baseline.String()))
-		}
+	if best >= 0 {
+		v.Accepted[best] = true
+	} else {
+		v.Events = []decision.Event{decision.BaselineKept("", e.t.baseline.String())}
 	}
-	res.ExhaustiveBest = best.delta
-	t.logf("exhaustive best: %s (%+.2f%%)", best.cfg, best.delta)
-	return best.cfg, nil
+	v.Logs = []string{fmt.Sprintf("exhaustive best: %s (%+.2f%%)", e.best, e.bestPct)}
+	return v
 }
 
 // FormatMap renders the design-space map as an aligned table.
 func FormatMap(res *Result) string {
-	var rows [][]string
+	rows := [][]string{{"knob", "setting", "outcome", ""}}
 	for _, sweep := range res.Map {
 		for _, p := range sweep.Points {
 			mark := ""
@@ -655,42 +631,22 @@ func FormatMap(res *Result) string {
 			rows = append(rows, []string{sweep.Knob.String(), p.Setting.Name, outcome, mark})
 		}
 	}
-	sort.SliceStable(rows, func(i, j int) bool { return false }) // keep sweep order
-	return formatTable([]string{"knob", "setting", "outcome", ""}, rows)
-}
-
-func formatTable(header []string, rows [][]string) string {
-	widths := make([]int, len(header))
-	for i, h := range header {
-		widths[i] = len(h)
-	}
+	widths := make([]int, len(rows[0]))
 	for _, r := range rows {
 		for i, c := range r {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
+			widths[i] = max(widths[i], len(c))
 		}
 	}
-	out := ""
-	emit := func(cells []string) {
+	var b strings.Builder
+	for _, r := range rows {
 		line := ""
-		for i, c := range cells {
-			for len(c) < widths[i] {
-				c += " "
-			}
+		for i, c := range r {
 			if i > 0 {
 				line += "  "
 			}
-			line += c
+			line += c + strings.Repeat(" ", widths[i]-len(c))
 		}
-		for len(line) > 0 && line[len(line)-1] == ' ' {
-			line = line[:len(line)-1]
-		}
-		out += line + "\n"
+		b.WriteString(strings.TrimRight(line, " ") + "\n")
 	}
-	emit(header)
-	for _, r := range rows {
-		emit(r)
-	}
-	return out
+	return b.String()
 }

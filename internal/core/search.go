@@ -24,13 +24,7 @@ type hillSearcher struct {
 	// measured against the previous round's winner, so they chain as
 	// factors, never as a sum.
 	compound float64
-	arms     []hillArm // last proposed round's moves, indexed like Arms
-}
-
-type hillArm struct {
-	cfg  knob.Config
-	id   knob.ID
-	name string
+	arms     []SearchArm // last proposed round's moves
 }
 
 // hillMaxRounds bounds the climb: each round moves one knob one step,
@@ -56,7 +50,7 @@ func (h *hillSearcher) Best() (knob.Config, float64) {
 // configuration, in design-space order. Unrealizable neighbours are
 // included — the driver prunes them through sku.Validate so the
 // pruned/validated telemetry stays accurate.
-func (h *hillSearcher) Propose(round int) *SearchRound {
+func (h *hillSearcher) Propose(round int) []*SearchRound {
 	if h.converged || round >= h.maxRounds {
 		return nil
 	}
@@ -65,7 +59,6 @@ func (h *hillSearcher) Propose(round int) *SearchRound {
 		Label:   fmt.Sprintf("hill/%d", round),
 		Control: h.current,
 	}
-	h.arms = h.arms[:0]
 	for _, id := range h.t.space.Knobs() {
 		values := h.t.space.Values[id]
 		cur := indexOfSetting(values, h.current.Get(id))
@@ -79,10 +72,10 @@ func (h *hillSearcher) Propose(round int) *SearchRound {
 				Knob:    id.String(),
 				Setting: values[ni].Name,
 			})
-			h.arms = append(h.arms, hillArm{cfg: h.current.With(id, values[ni]), id: id, name: values[ni].Name})
 		}
 	}
-	return rd
+	h.arms = rd.Arms
+	return []*SearchRound{rd}
 }
 
 // Observe picks the best significantly-improving neighbour, or
@@ -112,11 +105,11 @@ func (h *hillSearcher) Observe(round int, outs []ArmOutcome) RoundVerdict {
 	v.Accepted = make([]bool, len(outs))
 	v.Accepted[best] = true
 	v.Attrs = []SpanAttr{
-		{Key: "move", Value: fmt.Sprintf("%s -> %s", arm.id, arm.name)},
+		{Key: "move", Value: fmt.Sprintf("%s -> %s", arm.Knob, arm.Setting)},
 		{Key: "delta_pct", Value: delta},
 	}
-	v.Logs = []string{fmt.Sprintf("hill climb round %d: %s -> %s (%+.2f%%)", round, arm.id, arm.name, delta)}
-	h.current = arm.cfg
+	v.Logs = []string{fmt.Sprintf("hill climb round %d: %s -> %s (%+.2f%%)", round, arm.Knob, arm.Setting, delta)}
+	h.current = arm.Config
 	h.compound *= 1 + delta/100
 	return v
 }

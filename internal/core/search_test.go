@@ -86,11 +86,11 @@ func TestHillClimbCompoundsGains(t *testing.T) {
 	}
 	h := newHillSearcher(tool)
 	for round := 0; round < 2; round++ {
-		rd := h.Propose(round)
-		if rd == nil || len(rd.Arms) == 0 {
+		batch := h.Propose(round)
+		if len(batch) != 1 || len(batch[0].Arms) == 0 {
 			t.Fatalf("round %d proposed no arms", round)
 		}
-		outs := make([]ArmOutcome, len(rd.Arms))
+		outs := make([]ArmOutcome, len(batch[0].Arms))
 		outs[0] = sigOutcome(10) // the first neighbour wins +10%
 		for i := 1; i < len(outs); i++ {
 			outs[i] = ArmOutcome{Outcome: abtest.Outcome{DeltaPct: -1}}
@@ -164,7 +164,7 @@ func TestSearchBudgetExhaustedEvent(t *testing.T) {
 	h := newHillSearcher(tool)
 	h.maxRounds = 1 // Web improves on round 0, so the climb cannot converge in 1
 	var res Result
-	if _, err := tool.runSearch(&res, h); err != nil {
+	if _, err := tool.runSearch(&res, h, nil); err != nil {
 		t.Fatal(err)
 	}
 	if h.Done() {
@@ -232,7 +232,7 @@ func searchLedgerAt(t *testing.T, mode SweepMode, par int, withChaos bool) ([]by
 // with and without a chaos engine attached. This is the determinism
 // contract each Searcher inherits from the runSearch driver.
 func TestSearcherLedgerBitIdentical(t *testing.T) {
-	for _, mode := range []SweepMode{SweepHillClimb, SweepHalving, SweepCEM} {
+	for _, mode := range []SweepMode{SweepIndependent, SweepExhaustive, SweepHillClimb, SweepHalving, SweepCEM} {
 		for _, withChaos := range []bool{false, true} {
 			name := mode.String() + "/plain"
 			if withChaos {

@@ -133,7 +133,7 @@ func (c *cemSearcher) sampleOne(src *rng.Source) knob.Config {
 	return cfg
 }
 
-func (c *cemSearcher) Propose(round int) *SearchRound {
+func (c *cemSearcher) Propose(round int) []*SearchRound {
 	if c.done || round >= c.gens {
 		return nil
 	}
@@ -176,7 +176,7 @@ func (c *cemSearcher) Propose(round int) *SearchRound {
 			Setting: fmt.Sprintf("arm%d", i),
 		})
 	}
-	return rd
+	return []*SearchRound{rd}
 }
 
 func (c *cemSearcher) Observe(round int, outs []ArmOutcome) RoundVerdict {

@@ -97,7 +97,7 @@ func (h *halvingSearcher) rungAB(r int) *abtest.Config {
 	return &ab
 }
 
-func (h *halvingSearcher) Propose(round int) *SearchRound {
+func (h *halvingSearcher) Propose(round int) []*SearchRound {
 	if h.done || round >= h.rungs || len(h.live) == 0 {
 		return nil
 	}
@@ -117,7 +117,7 @@ func (h *halvingSearcher) Propose(round int) *SearchRound {
 			Setting: fmt.Sprintf("arm%d", id),
 		})
 	}
-	return rd
+	return []*SearchRound{rd}
 }
 
 func (h *halvingSearcher) Observe(round int, outs []ArmOutcome) RoundVerdict {

@@ -149,10 +149,12 @@ type Config struct {
 	// more trial rounds for cross-knob coverage.
 	TuneSweep core.SweepMode
 	// TuneTwin arms the analytical-twin fidelity ladder inside every
-	// re-tune (DESIGN.md §16): predicted-losing arms are pruned before
-	// they cost a characterization window, which matters at the
-	// controller's cadence of up to MaxRetunesPerEpoch tunes per pool
-	// per epoch.
+	// re-tune (DESIGN.md §16). With a hill, halving or CEM TuneSweep,
+	// predicted-losing arms are pruned before they cost a
+	// characterization window, which matters at the controller's
+	// cadence of up to MaxRetunesPerEpoch tunes per pool per epoch. The
+	// independent and exhaustive sweeps measure every realizable point;
+	// there the twin only calibrates and cross-checks.
 	TuneTwin bool
 }
 

@@ -164,9 +164,9 @@ echo "== adaptive search smoke =="
 # specific rung_advanced events plus a clean run_finished.
 srchdir=$(mktemp -d)
 go build -o "$srchdir/musku" ./cmd/musku
-"$srchdir/musku" -service Web -knobs thp,shp -search halving -max-samples 1500 \
+"$srchdir/musku" -service Web -knobs thp,shp -sweep halving -max-samples 1500 \
 	-parallel 1 -q -decisions-out "$srchdir/a.jsonl" >"$srchdir/a.txt"
-"$srchdir/musku" -service Web -knobs thp,shp -search halving -max-samples 1500 \
+"$srchdir/musku" -service Web -knobs thp,shp -sweep halving -max-samples 1500 \
 	-parallel 8 -q -decisions-out "$srchdir/b.jsonl" >"$srchdir/b.txt"
 if ! cmp -s "$srchdir/a.jsonl" "$srchdir/b.jsonl"; then
 	echo "search smoke: same-seed halving ledgers diverged across -parallel" >&2
@@ -183,6 +183,27 @@ fi
 sed -n 's/^soft SKU:  */search smoke (halving): /p' "$srchdir/a.txt"
 rm -rf "$srchdir"
 
+echo "== independent sweep smoke =="
+# The default mode runs through the same search driver: a tiny
+# independent sweep at -parallel 1 and 8 must write byte-identical
+# decision ledgers, with one sweep group per knob.
+indepdir=$(mktemp -d)
+go build -o "$indepdir/musku" ./cmd/musku
+"$indepdir/musku" -service Web -knobs thp,shp -sweep independent -max-samples 1500 \
+	-parallel 1 -q -decisions-out "$indepdir/a.jsonl" >"$indepdir/a.txt"
+"$indepdir/musku" -service Web -knobs thp,shp -sweep independent -max-samples 1500 \
+	-parallel 8 -q -decisions-out "$indepdir/b.jsonl" >"$indepdir/b.txt"
+if ! cmp -s "$indepdir/a.jsonl" "$indepdir/b.jsonl"; then
+	echo "independent smoke: same-seed ledgers diverged across -parallel" >&2
+	exit 1
+fi
+if [ "$(grep -c '"kind":"sweep_started"' "$indepdir/a.jsonl")" -ne 3 ]; then
+	echo "independent smoke: want one sweep group per knob plus the final group" >&2
+	exit 1
+fi
+sed -n 's/^soft SKU:  */independent smoke: /p' "$indepdir/a.txt"
+rm -rf "$indepdir"
+
 echo "== twin-pruned search smoke =="
 # A twin-armed hill climb run twice: prune decisions come from the
 # calibrated analytical twin (DESIGN.md §16), so both runs must compose
@@ -192,9 +213,9 @@ echo "== twin-pruned search smoke =="
 # answers depend on simcache state, which is fixed per process.
 twindir=$(mktemp -d)
 go build -o "$twindir/musku" ./cmd/musku
-"$twindir/musku" -service Web -knobs thp,shp,corefreq -search hill -twin \
+"$twindir/musku" -service Web -knobs thp,shp,corefreq -sweep hill -twin \
 	-max-samples 1500 -q -decisions-out "$twindir/a.jsonl" >"$twindir/a.txt"
-"$twindir/musku" -service Web -knobs thp,shp,corefreq -search hill -twin \
+"$twindir/musku" -service Web -knobs thp,shp,corefreq -sweep hill -twin \
 	-max-samples 1500 -q -decisions-out "$twindir/b.jsonl" >"$twindir/b.txt"
 if ! cmp -s "$twindir/a.jsonl" "$twindir/b.jsonl"; then
 	echo "twin smoke: same-seed twin-pruned ledgers diverged between runs" >&2
